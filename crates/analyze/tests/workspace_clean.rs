@@ -36,7 +36,7 @@ fn schema_lock_is_committed_and_fresh() {
     // The wire structs this tree is known to checkpoint; growing this set
     // intentionally requires regenerating the lock, which updates here.
     for name in [
-        "SearchCheckpoint",
+        "ParetoState",
         "TrainCheckpoint",
         "PruneCheckpoint",
         "PrescreenerState",

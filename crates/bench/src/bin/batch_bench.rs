@@ -20,6 +20,7 @@
 //! `--check PATH` compares the fresh `epoch.batched_s` against a
 //! previously committed JSON and exits non-zero on a >20% regression.
 
+use qns_bench::{scoped_num, time_median, Json};
 use qns_circuit::{Circuit, GateKind, Param};
 use qns_ml::{cross_entropy_grad, nll_loss};
 use qns_sim::{
@@ -28,8 +29,6 @@ use qns_sim::{
 };
 use quantumnas::Readout;
 use std::cell::RefCell;
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// A QML-style benchmark candidate: an input-encoding layer (RY + affine
 /// RZ per qubit) followed by `layers` of U3 rotations and a CU3
@@ -84,19 +83,6 @@ fn dataset(n_samples: usize, dim: usize, classes: usize) -> (Vec<Vec<f64>>, Vec<
     (features, labels)
 }
 
-/// Median wall-clock seconds of `reps` calls to `f`.
-fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 /// One sample of the pre-batching training shape: a Static forward for
 /// the loss weights, then `adjoint_gradient` (which runs its own
 /// forward) — kept verbatim as the per-sample baseline.
@@ -117,44 +103,6 @@ fn sample_grad_baseline(
     (loss, grad)
 }
 
-struct Json {
-    buf: String,
-}
-
-impl Json {
-    fn obj(&mut self, key: &str, body: impl FnOnce(&mut Json)) {
-        let _ = write!(self.buf, "\"{key}\": {{");
-        body(self);
-        if self.buf.ends_with(", ") {
-            self.buf.truncate(self.buf.len() - 2);
-        }
-        let _ = write!(self.buf, "}}, ");
-    }
-
-    fn num(&mut self, key: &str, v: f64) {
-        let _ = write!(self.buf, "\"{key}\": {v:.9}, ");
-    }
-
-    fn int(&mut self, key: &str, v: usize) {
-        let _ = write!(self.buf, "\"{key}\": {v}, ");
-    }
-
-    fn str(&mut self, key: &str, v: &str) {
-        let _ = write!(self.buf, "\"{key}\": \"{v}\", ");
-    }
-}
-
-/// Pulls `"key": <float>` out of the `"epoch"` object of a flat JSON
-/// string written by this bin.
-fn epoch_num(text: &str, key: &str) -> Option<f64> {
-    let scope = &text[text.find("\"epoch\"")?..];
-    let needle = format!("\"{key}\": ");
-    let start = scope.find(&needle)? + needle.len();
-    let rest = &scope[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -171,8 +119,7 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let mut json = Json { buf: String::new() };
-    json.buf.push('{');
+    let mut json = Json::new();
     json.str("bench", "batch");
     json.str("mode", if smoke { "smoke" } else { "full" });
     json.int("cores", cores);
@@ -306,20 +253,14 @@ fn main() {
         j.num("speedup", speedup);
     });
 
-    if json.buf.ends_with(", ") {
-        let len = json.buf.len() - 2;
-        json.buf.truncate(len);
-    }
-    json.buf.push('}');
-    json.buf.push('\n');
-    std::fs::write(&out_path, &json.buf).expect("write BENCH_batch.json");
+    std::fs::write(&out_path, json.finish()).expect("write BENCH_batch.json");
     println!("\nwrote {out_path}");
 
     if let Some(path) = check_path {
         let committed = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read committed baseline {path}: {e}"));
-        let committed_s =
-            epoch_num(&committed, "batched_s").expect("committed baseline has epoch.batched_s");
+        let committed_s = scoped_num(&committed, "epoch", "batched_s")
+            .expect("committed baseline has epoch.batched_s");
         let ratio = epoch_batched / committed_s.max(1e-12);
         println!(
             "check vs {path}: committed epoch {:.3}ms, fresh {:.3}ms ({ratio:.2}x)",

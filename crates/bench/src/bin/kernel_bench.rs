@@ -25,13 +25,12 @@
 //! `--check PATH` compares the fresh `forward.batched_s` against a
 //! previously committed JSON and exits non-zero on a >20% regression.
 
+use qns_bench::{scoped_num, time_median, Json};
 use qns_circuit::{Circuit, GateKind, Param};
 use qns_sim::{
     parallel_map_hinted, SimPlan, StateBatch, DEFAULT_BATCH_LANES, DEFAULT_FUSION_LEVEL,
 };
 use qns_tensor::{Mat2, Mat4, C64};
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Interleaved (array-of-structs) reference batch: identical element
 /// order to [`StateBatch`] (`amp * lanes + lane`) but `C64` pairs instead
@@ -105,19 +104,6 @@ fn ry(theta: f64) -> Mat2 {
     ])
 }
 
-/// Median wall-clock seconds of `reps` calls to `f`.
-fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 /// The old dispatch shape: one scoped spawn per call, joined immediately.
 /// Kept here as the measured baseline for the `dispatch` section.
 fn scoped_map(items: &[u64], f: impl Fn(&u64) -> u64 + Sync) -> Vec<u64> {
@@ -129,44 +115,6 @@ fn scoped_map(items: &[u64], f: impl Fn(&u64) -> u64 + Sync) -> Vec<u64> {
         out.extend(handle.join().expect("scoped worker"));
         out
     })
-}
-
-struct Json {
-    buf: String,
-}
-
-impl Json {
-    fn obj(&mut self, key: &str, body: impl FnOnce(&mut Json)) {
-        let _ = write!(self.buf, "\"{key}\": {{");
-        body(self);
-        if self.buf.ends_with(", ") {
-            self.buf.truncate(self.buf.len() - 2);
-        }
-        let _ = write!(self.buf, "}}, ");
-    }
-
-    fn num(&mut self, key: &str, v: f64) {
-        let _ = write!(self.buf, "\"{key}\": {v:.9}, ");
-    }
-
-    fn int(&mut self, key: &str, v: usize) {
-        let _ = write!(self.buf, "\"{key}\": {v}, ");
-    }
-
-    fn str(&mut self, key: &str, v: &str) {
-        let _ = write!(self.buf, "\"{key}\": \"{v}\", ");
-    }
-}
-
-/// Pulls `"key": <float>` out of the `"forward"` object of a flat JSON
-/// string written by this bin.
-fn forward_num(text: &str, key: &str) -> Option<f64> {
-    let scope = &text[text.find("\"forward\"")?..];
-    let needle = format!("\"{key}\": ");
-    let start = scope.find(&needle)? + needle.len();
-    let rest = &scope[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
 }
 
 /// The `batch_bench` QML candidate shape, reused for the end-to-end
@@ -224,8 +172,7 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let mut json = Json { buf: String::new() };
-    json.buf.push('{');
+    let mut json = Json::new();
     json.str("bench", "kernels");
     json.str("mode", if smoke { "smoke" } else { "full" });
     json.int("cores", cores);
@@ -349,20 +296,14 @@ fn main() {
         j.num("batched_s", batched_s);
     });
 
-    if json.buf.ends_with(", ") {
-        let len = json.buf.len() - 2;
-        json.buf.truncate(len);
-    }
-    json.buf.push('}');
-    json.buf.push('\n');
-    std::fs::write(&out_path, &json.buf).expect("write BENCH_kernels.json");
+    std::fs::write(&out_path, json.finish()).expect("write BENCH_kernels.json");
     println!("\nwrote {out_path}");
 
     if let Some(path) = check_path {
         let committed = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read committed baseline {path}: {e}"));
-        let committed_s =
-            forward_num(&committed, "batched_s").expect("committed baseline has forward.batched_s");
+        let committed_s = scoped_num(&committed, "forward", "batched_s")
+            .expect("committed baseline has forward.batched_s");
         let ratio = batched_s / committed_s.max(1e-12);
         println!(
             "check vs {path}: committed forward {:.3}ms, fresh {:.3}ms ({ratio:.2}x)",

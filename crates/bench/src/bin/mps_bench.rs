@@ -22,12 +22,11 @@
 //! fresh `throughput_n16.mps_s` against a previously committed JSON and
 //! exits non-zero on a >20% regression.
 
+use qns_bench::{scoped_num, time_median, Json};
 use qns_circuit::{Circuit, GateKind, Param};
 use qns_sim::{
     mps_stats, reset_mps_stats, run_mps, run_with, ExecMode, MpsConfig, MpsState, SimBackend,
 };
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// A brickwork candidate: per-layer U3 on every qubit, CU3 on even then
 /// odd nearest-neighbor pairs, and one ring-closing CU3 that exercises
@@ -63,57 +62,6 @@ fn brickwork(n: usize, layers: usize) -> Circuit {
     c
 }
 
-/// Median wall-clock seconds of `reps` calls to `f`.
-fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-struct Json {
-    buf: String,
-}
-
-impl Json {
-    fn obj(&mut self, key: &str, body: impl FnOnce(&mut Json)) {
-        let _ = write!(self.buf, "\"{key}\": {{");
-        body(self);
-        if self.buf.ends_with(", ") {
-            self.buf.truncate(self.buf.len() - 2);
-        }
-        let _ = write!(self.buf, "}}, ");
-    }
-
-    fn num(&mut self, key: &str, v: f64) {
-        let _ = write!(self.buf, "\"{key}\": {v:.9}, ");
-    }
-
-    fn int(&mut self, key: &str, v: usize) {
-        let _ = write!(self.buf, "\"{key}\": {v}, ");
-    }
-
-    fn str(&mut self, key: &str, v: &str) {
-        let _ = write!(self.buf, "\"{key}\": \"{v}\", ");
-    }
-}
-
-/// Pulls `"key": <float>` out of the `"throughput_n16"` object of a flat
-/// JSON string written by this bin.
-fn n16_num(text: &str, key: &str) -> Option<f64> {
-    let scope = &text[text.find("\"throughput_n16\"")?..];
-    let needle = format!("\"{key}\": ");
-    let start = scope.find(&needle)? + needle.len();
-    let rest = &scope[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -130,8 +78,7 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let mut json = Json { buf: String::new() };
-    json.buf.push('{');
+    let mut json = Json::new();
     json.str("bench", "mps");
     json.str("mode", if smoke { "smoke" } else { "full" });
     json.int("cores", cores);
@@ -220,20 +167,14 @@ fn main() {
         });
     }
 
-    if json.buf.ends_with(", ") {
-        let len = json.buf.len() - 2;
-        json.buf.truncate(len);
-    }
-    json.buf.push('}');
-    json.buf.push('\n');
-    std::fs::write(&out_path, &json.buf).expect("write BENCH_mps.json");
+    std::fs::write(&out_path, json.finish()).expect("write BENCH_mps.json");
     println!("\nwrote {out_path}");
 
     if let Some(path) = check_path {
         let committed = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read committed baseline {path}: {e}"));
-        let committed_s =
-            n16_num(&committed, "mps_s").expect("committed baseline has throughput_n16.mps_s");
+        let committed_s = scoped_num(&committed, "throughput_n16", "mps_s")
+            .expect("committed baseline has throughput_n16.mps_s");
         let ratio = n16_mps_s / committed_s.max(1e-12);
         println!(
             "check vs {path}: committed n=16 {:.3}ms, fresh {:.3}ms ({ratio:.2}x)",

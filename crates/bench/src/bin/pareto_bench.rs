@@ -14,16 +14,18 @@
 //!    generation. Reports points selected per second and the per-point
 //!    cost (the `--check` regression metric), plus the hypervolume of the
 //!    cloud's first front as a correctness canary.
-//! 2. `search` — end-to-end: the same evolutionary search run through the
-//!    scalar engine and through the Pareto engine over (loss, depth,
-//!    twoq). Reports wall-clock for both, the multi-objective overhead
-//!    ratio, the final front size, and its normalized hypervolume.
+//! 2. `search` — end-to-end: the same evolutionary search run loss-only
+//!    (the paper's scalar co-search) and over `loss,depth,twoq`. Reports
+//!    wall-clock for both (`scalar_*` keys hold the loss-only run), the
+//!    multi-objective overhead ratio, the final front size, and its
+//!    normalized hypervolume.
 //!
 //! `--smoke` shrinks both sections to a single cheap iteration so CI can
 //! run the binary as a build-and-run check without thresholds.
 //! `--check PATH` compares the fresh `sort.per_point_s` against a
 //! previously committed JSON and exits non-zero on a >20% regression.
 
+use qns_bench::{scoped_num, time_median, Json};
 use qns_noise::Device;
 use qns_runtime::CacheKey;
 use quantumnas::{
@@ -31,8 +33,6 @@ use quantumnas::{
     non_dominated_sort, normalize_objectives, selection_order, DesignSpace, Estimator,
     EstimatorKind, EvoConfig, Objective, SearchRuntime, SpaceKind, SuperCircuit, Task,
 };
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// A deterministic synthetic objective cloud: splitmix64 coordinates in
 /// [0, 1)^dims, so every run (and every machine) sorts the same points.
@@ -51,57 +51,6 @@ fn objective_cloud(n: usize, dims: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Median wall-clock seconds of `reps` calls to `f`.
-fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-struct Json {
-    buf: String,
-}
-
-impl Json {
-    fn obj(&mut self, key: &str, body: impl FnOnce(&mut Json)) {
-        let _ = write!(self.buf, "\"{key}\": {{");
-        body(self);
-        if self.buf.ends_with(", ") {
-            self.buf.truncate(self.buf.len() - 2);
-        }
-        let _ = write!(self.buf, "}}, ");
-    }
-
-    fn num(&mut self, key: &str, v: f64) {
-        let _ = write!(self.buf, "\"{key}\": {v:.9}, ");
-    }
-
-    fn int(&mut self, key: &str, v: usize) {
-        let _ = write!(self.buf, "\"{key}\": {v}, ");
-    }
-
-    fn str(&mut self, key: &str, v: &str) {
-        let _ = write!(self.buf, "\"{key}\": \"{v}\", ");
-    }
-}
-
-/// Pulls `"key": <float>` out of the `"sort"` object of a flat JSON
-/// string written by this bin.
-fn sort_num(text: &str, key: &str) -> Option<f64> {
-    let scope = &text[text.find("\"sort\"")?..];
-    let needle = format!("\"{key}\": ");
-    let start = scope.find(&needle)? + needle.len();
-    let rest = &scope[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -118,8 +67,7 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let mut json = Json { buf: String::new() };
-    json.buf.push('{');
+    let mut json = Json::new();
     json.str("bench", "pareto");
     json.str("mode", if smoke { "smoke" } else { "full" });
     json.int("cores", cores);
@@ -164,8 +112,8 @@ fn main() {
         j.num("front_hypervolume", hv);
     });
 
-    // 2. End-to-end: the same search budget through the scalar engine and
-    // through the Pareto engine over the full objective set.
+    // 2. End-to-end: the same search budget loss-only and over the full
+    // objective set.
     let sc = SuperCircuit::new(DesignSpace::new(SpaceKind::U3Cu3), 4, 2);
     let task = Task::qml_digits(&[1, 8], 15, 4, 4);
     let params: Vec<f64> = (0..sc.num_params())
@@ -208,8 +156,8 @@ fn main() {
             &rt,
         ));
     });
-    let scalar_result = scalar_result.expect("scalar search ran");
-    let pareto_result = pareto_result.expect("pareto search ran");
+    let scalar_result = scalar_result.expect("loss-only search ran");
+    let pareto_result = pareto_result.expect("loss,depth,twoq search ran");
     let front: Vec<Vec<f64>> = pareto_result
         .front
         .iter()
@@ -218,8 +166,8 @@ fn main() {
     let front_hv = hypervolume(&normalize_objectives(&front));
     let overhead = pareto_s / scalar_s.max(1e-12);
     println!(
-        "search (pop {}, {} gens): scalar {:.3}ms (score {:.4}) \
-         pareto {:.3}ms (front {}, hv {front_hv:.4}) ({overhead:.2}x)",
+        "search (pop {}, {} gens): loss-only {:.3}ms (score {:.4}) \
+         loss,depth,twoq {:.3}ms (front {}, hv {front_hv:.4}) ({overhead:.2}x)",
         cfg.population,
         cfg.iterations,
         scalar_s * 1e3,
@@ -239,20 +187,14 @@ fn main() {
         j.num("overhead", overhead);
     });
 
-    if json.buf.ends_with(", ") {
-        let len = json.buf.len() - 2;
-        json.buf.truncate(len);
-    }
-    json.buf.push('}');
-    json.buf.push('\n');
-    std::fs::write(&out_path, &json.buf).expect("write BENCH_pareto.json");
+    std::fs::write(&out_path, json.finish()).expect("write BENCH_pareto.json");
     println!("\nwrote {out_path}");
 
     if let Some(path) = check_path {
         let committed = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read committed baseline {path}: {e}"));
-        let committed_s =
-            sort_num(&committed, "per_point_s").expect("committed baseline has sort.per_point_s");
+        let committed_s = scoped_num(&committed, "sort", "per_point_s")
+            .expect("committed baseline has sort.per_point_s");
         let ratio = per_point / committed_s.max(1e-12);
         println!(
             "check vs {path}: committed sort {:.3}us/point, fresh {:.3}us/point ({ratio:.2}x)",

@@ -23,14 +23,13 @@
 //! `--check PATH` compares the fresh `rank.per_candidate_s` against a
 //! previously committed JSON and exits non-zero on a >20% regression.
 
+use qns_bench::{scoped_num, time_median, Json};
 use qns_noise::{Device, TrajectoryConfig};
 use quantumnas::{
     candidate_seed, compute_features, evolutionary_search_seeded_rt, gene_key, DesignSpace,
     Estimator, EstimatorKind, EvoConfig, FusionModel, Gene, ProxyContext, ProxyOptions,
     SearchRuntime, SpaceKind, SubConfig, SuperCircuit, Task,
 };
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// A deterministic spread of candidates over the 4-qubit U3+CU3 space:
 /// every (depth, width-pattern, layout-rotation) combination.
@@ -54,57 +53,6 @@ fn candidate_genes(n_phys: usize, widths: usize) -> Vec<Gene> {
     genes
 }
 
-/// Median wall-clock seconds of `reps` calls to `f`.
-fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-struct Json {
-    buf: String,
-}
-
-impl Json {
-    fn obj(&mut self, key: &str, body: impl FnOnce(&mut Json)) {
-        let _ = write!(self.buf, "\"{key}\": {{");
-        body(self);
-        if self.buf.ends_with(", ") {
-            self.buf.truncate(self.buf.len() - 2);
-        }
-        let _ = write!(self.buf, "}}, ");
-    }
-
-    fn num(&mut self, key: &str, v: f64) {
-        let _ = write!(self.buf, "\"{key}\": {v:.9}, ");
-    }
-
-    fn int(&mut self, key: &str, v: usize) {
-        let _ = write!(self.buf, "\"{key}\": {v}, ");
-    }
-
-    fn str(&mut self, key: &str, v: &str) {
-        let _ = write!(self.buf, "\"{key}\": \"{v}\", ");
-    }
-}
-
-/// Pulls `"key": <float>` out of the `"rank"` object of a flat JSON
-/// string written by this bin.
-fn rank_num(text: &str, key: &str) -> Option<f64> {
-    let scope = &text[text.find("\"rank\"")?..];
-    let needle = format!("\"{key}\": ");
-    let start = scope.find(&needle)? + needle.len();
-    let rest = &scope[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -121,8 +69,7 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let mut json = Json { buf: String::new() };
-    json.buf.push('{');
+    let mut json = Json::new();
     json.str("bench", "proxy");
     json.str("mode", if smoke { "smoke" } else { "full" });
     json.int("cores", cores);
@@ -271,19 +218,13 @@ fn main() {
         j.num("speedup", speedup);
     });
 
-    if json.buf.ends_with(", ") {
-        let len = json.buf.len() - 2;
-        json.buf.truncate(len);
-    }
-    json.buf.push('}');
-    json.buf.push('\n');
-    std::fs::write(&out_path, &json.buf).expect("write BENCH_proxy.json");
+    std::fs::write(&out_path, json.finish()).expect("write BENCH_proxy.json");
     println!("\nwrote {out_path}");
 
     if let Some(path) = check_path {
         let committed = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read committed baseline {path}: {e}"));
-        let committed_s = rank_num(&committed, "per_candidate_s")
+        let committed_s = scoped_num(&committed, "rank", "per_candidate_s")
             .expect("committed baseline has rank.per_candidate_s");
         let ratio = per_candidate / committed_s.max(1e-12);
         println!(

@@ -22,6 +22,7 @@
 //! `--smoke` shrinks every section to a single cheap iteration so CI can
 //! run the binary as a build-and-run check without thresholds.
 
+use qns_bench::{time_median, Json};
 use qns_circuit::{Circuit, GateKind, Param};
 use qns_noise::{Device, TrajectoryConfig, TrajectoryExecutor};
 use qns_runtime::Workers;
@@ -31,8 +32,6 @@ use qns_sim::{
 };
 use qns_transpile::Layout;
 use quantumnas::{DesignSpace, Estimator, EstimatorKind, SpaceKind, SuperCircuit, Task};
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// A deep hardware-efficient benchmark circuit: `layers` of RZ·RX on every
 /// qubit plus a CX + CRY entangling ring.
@@ -55,46 +54,6 @@ fn deep_circuit(n: usize, layers: usize) -> (Circuit, Vec<f64>) {
     (c, params)
 }
 
-/// Median wall-clock seconds of `reps` calls to `f`.
-fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-struct Json {
-    buf: String,
-}
-
-impl Json {
-    fn obj(&mut self, key: &str, body: impl FnOnce(&mut Json)) {
-        let _ = write!(self.buf, "\"{key}\": {{");
-        body(self);
-        if self.buf.ends_with(", ") {
-            self.buf.truncate(self.buf.len() - 2);
-        }
-        let _ = write!(self.buf, "}}, ");
-    }
-
-    fn num(&mut self, key: &str, v: f64) {
-        let _ = write!(self.buf, "\"{key}\": {v:.9}, ");
-    }
-
-    fn int(&mut self, key: &str, v: usize) {
-        let _ = write!(self.buf, "\"{key}\": {v}, ");
-    }
-
-    fn str(&mut self, key: &str, v: &str) {
-        let _ = write!(self.buf, "\"{key}\": \"{v}\", ");
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -109,8 +68,7 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let mut json = Json { buf: String::new() };
-    json.buf.push('{');
+    let mut json = Json::new();
     json.str("bench", "sim");
     json.str("mode", if smoke { "smoke" } else { "full" });
     json.int("cores", cores);
@@ -295,13 +253,7 @@ fn main() {
         j.num("score", fast_score);
     });
 
-    if json.buf.ends_with(", ") {
-        let len = json.buf.len() - 2;
-        json.buf.truncate(len);
-    }
-    json.buf.push('}');
-    json.buf.push('\n');
-    std::fs::write(&out_path, &json.buf).expect("write BENCH_sim.json");
+    std::fs::write(&out_path, json.finish()).expect("write BENCH_sim.json");
     println!("\nwrote {out_path}");
     if !smoke {
         assert!(

@@ -390,3 +390,110 @@ pub fn banner(id: &str, what: &str) {
 }
 
 pub mod experiments;
+
+/// Median wall-clock seconds of `reps` calls to `f` (at least one call).
+pub fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
+    let mut samples: Vec<f64> = (0..reps.max(1))
+        .map(|_| {
+            let start = std::time::Instant::now();
+            f();
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// The flat JSON writer of the `*_bench` bins: one top-level object of
+/// nested objects and scalar fields, floats at 9 decimals.
+pub struct Json {
+    buf: String,
+}
+
+impl Default for Json {
+    fn default() -> Self {
+        Json::new()
+    }
+}
+
+impl Json {
+    /// An open top-level object.
+    pub fn new() -> Self {
+        Json {
+            buf: String::from("{"),
+        }
+    }
+
+    /// A nested object `key` whose fields `body` writes.
+    pub fn obj(&mut self, key: &str, body: impl FnOnce(&mut Json)) {
+        self.buf.push_str(&format!("\"{key}\": {{"));
+        body(self);
+        self.trim_separator();
+        self.buf.push_str("}, ");
+    }
+
+    /// A float field.
+    pub fn num(&mut self, key: &str, v: f64) {
+        self.buf.push_str(&format!("\"{key}\": {v:.9}, "));
+    }
+
+    /// An integer field.
+    pub fn int(&mut self, key: &str, v: usize) {
+        self.buf.push_str(&format!("\"{key}\": {v}, "));
+    }
+
+    /// A string field (written unescaped).
+    pub fn str(&mut self, key: &str, v: &str) {
+        self.buf.push_str(&format!("\"{key}\": \"{v}\", "));
+    }
+
+    /// Closes the top-level object and returns the text, newline-terminated.
+    pub fn finish(mut self) -> String {
+        self.trim_separator();
+        self.buf.push_str("}\n");
+        self.buf
+    }
+
+    fn trim_separator(&mut self) {
+        if self.buf.ends_with(", ") {
+            self.buf.truncate(self.buf.len() - 2);
+        }
+    }
+}
+
+/// Pulls `"key": <float>` out of the first `"scope"` object of a flat JSON
+/// string written by [`Json`] (the `--check` gates read committed baselines
+/// with it).
+pub fn scoped_num(text: &str, scope: &str, key: &str) -> Option<f64> {
+    let scoped = &text[text.find(&format!("\"{scope}\""))?..];
+    let needle = format!("\"{key}\": ");
+    let start = scoped.find(&needle)? + needle.len();
+    let rest = &scoped[start..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    rest[..end].trim().parse().ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn json_writer_output_is_read_back_by_scoped_num() {
+        let mut json = Json::new();
+        json.str("bench", "demo");
+        json.obj("sort", |j| {
+            j.int("points", 3);
+            j.num("per_point_s", 0.25);
+        });
+        json.obj("search", |j| j.num("per_point_s", 0.5));
+        let text = json.finish();
+        assert_eq!(
+            text,
+            "{\"bench\": \"demo\", \"sort\": {\"points\": 3, \"per_point_s\": 0.250000000}, \
+             \"search\": {\"per_point_s\": 0.500000000}}\n"
+        );
+        assert_eq!(scoped_num(&text, "sort", "per_point_s"), Some(0.25));
+        assert_eq!(scoped_num(&text, "search", "per_point_s"), Some(0.5));
+        assert_eq!(scoped_num(&text, "missing", "per_point_s"), None);
+    }
+}

@@ -1,14 +1,16 @@
-//! Multi-objective Pareto co-search (NSGA-II) over the same
-//! (architecture, mapping) genes as the scalar evolutionary engine.
+//! The evolutionary co-search engine: NSGA-II over (architecture, mapping)
+//! genes under one or more objectives. The paper's scalar co-search is
+//! this engine over the single objective [`Objective::Loss`]
+//! ([`evolutionary_search_seeded_rt`]).
 //!
 //! The paper's scalar score collapses noisy accuracy, circuit depth, and
 //! gate count into one number, hiding the trade-offs that matter when one
-//! searched SuperCircuit must serve many calibrated devices. This module
-//! searches the whole front instead:
+//! searched SuperCircuit must serve many calibrated devices. With several
+//! objectives this module searches the whole front instead:
 //!
 //! - objective vectors over noisy loss / compiled depth / 2Q-gate count
-//!   ([`Objective`]), evaluated through the same [`SearchRuntime`] score
-//!   memo and transpile cache the scalar engine uses,
+//!   ([`Objective`]), evaluated through the [`SearchRuntime`] score memo
+//!   and transpile cache,
 //! - fast non-dominated sorting ([`non_dominated_sort`]) and crowding
 //!   distance ([`crowding_distance`]) with a deterministic total selection
 //!   order ([`selection_order`]): rank, then crowding, then candidate
@@ -20,34 +22,32 @@
 //!   front point minimizing estimated error for a given device
 //!   fingerprint — "one search, many devices".
 //!
-//! With the single objective [`Objective::Loss`], the loop degenerates to
-//! the scalar engine: singleton fronts reproduce the score ordering, so
-//! best gene, score, and history match [`evolutionary_search_seeded_rt`]
-//! bit for bit wherever selection pressure coincides (exact score ties
-//! between distinct genes are ordered by digest here, by batch position
-//! there).
+//! With a single objective two rules keep the loop the paper's GA, and a
+//! loss-only run bitwise-identical to the former standalone scalar engine
+//! (pinned by a golden test): survivors are a stable sort on the
+//! objective, ties in batch order, rather than [`selection_order`], whose
+//! 1-D crowding and digest tie-breaks reorder exactly tied candidates; and
+//! the proxy fusion model observes the raw objective rather than a
+//! per-batch normalized one.
 //!
 //! [`evolutionary_search_seeded_rt`]: crate::evolutionary_search_seeded_rt
 
 use crate::checkpoint::ParetoState;
 use crate::runtime::{gene_key, search_context_key, SearchRuntime};
-use crate::search::{
-    build_gene_circuit, evo_context_hasher, mean_finite, record_rank_quality, score_gene,
-    seed_population, GenePool,
-};
+use crate::search::{build_gene_circuit, mean_finite, score_gene, GenePool};
 use crate::{Estimator, EvoConfig, Gene, SuperCircuit, Task};
 use qns_noise::{circuit_success_rate, Device};
 use qns_proxy::{
     candidate_seed, compute_features, scalarize_objectives, Prescreener, ProxyFeatures,
 };
-use qns_runtime::{counters, CacheKey, GenerationEvent};
+use qns_runtime::{counters, CacheKey, GenerationEvent, Metrics, StructuralHasher};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
 /// One axis of the multi-objective search. All objectives are minimized.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Objective {
-    /// The estimator's noisy loss — the scalar engine's entire score.
+    /// The estimator's noisy loss — the paper's entire search score.
     Loss,
     /// Depth of the compiled (transpiled) circuit.
     Depth,
@@ -371,7 +371,7 @@ pub struct ParetoSearchResult {
     /// The final non-dominated archive, sorted by candidate digest.
     pub front: Vec<FrontPoint>,
     /// Best gene by the *primary* objective (`objectives[0]`) — what the
-    /// pipeline trains when it runs in Pareto mode.
+    /// pipeline trains.
     pub best: Gene,
     /// The primary-objective value of [`ParetoSearchResult::best`].
     pub best_score: f64,
@@ -395,8 +395,8 @@ impl ParetoSearchResult {
         self.evaluations + self.memo_hits
     }
 
-    /// Collapses to the scalar engine's result shape (dropping the front)
-    /// so downstream pipeline stages stay mode-agnostic.
+    /// Collapses to the single-best result shape (dropping the front) so
+    /// downstream pipeline stages stay mode-agnostic.
     pub fn into_search_result(self) -> crate::SearchResult {
         crate::SearchResult {
             best: self.best,
@@ -434,12 +434,12 @@ pub fn evolutionary_search_pareto(
     )
 }
 
-/// NSGA-II co-search over `objectives`, reusing the scalar engine's
-/// evaluation machinery: the same [`SearchRuntime`] score memo and
-/// transpile cache, the same proxy prescreener (fed a scalarized view of
-/// the same objective vectors), and the same gene pool — seeded
-/// identically, so the single-objective mode degenerates to the scalar
-/// engine's trajectory.
+/// The evolutionary co-search over `objectives` — NSGA-II selection with
+/// several, the paper's GA with one (see the module docs): candidates are
+/// scored through the [`SearchRuntime`] score memo and transpile cache,
+/// optionally gated by the proxy prescreener, and bred from one seeded
+/// gene pool. Loss-only callers usually go through
+/// [`evolutionary_search_seeded_rt`](crate::evolutionary_search_seeded_rt).
 ///
 /// # Panics
 ///
@@ -489,12 +489,33 @@ pub fn evolutionary_search_pareto_rt(
     let mut proxy_escalations = 0u64;
     let mut proxy_dedup_hits = 0u64;
 
-    // The scalar context digest plus the objective vector: a Pareto
-    // snapshot can only resume a run searching the same objectives in the
-    // same order (and can never pass a scalar run's check, nor vice
-    // versa — the wire kinds already differ).
+    // Everything that shapes the evolution trajectory goes into the
+    // snapshot's context digest: the scoring context, the evolution and
+    // proxy hyperparameters, the seed population, and the objective
+    // vector (names and order). A snapshot written under any other
+    // configuration is rejected rather than resumed.
     let resume_context = {
-        let mut h = evo_context_hasher(context, config, seeds);
+        let mut h = StructuralHasher::new();
+        h.write_u64(context.lo);
+        h.write_u64(context.hi);
+        h.write_usize(config.iterations);
+        h.write_usize(config.population);
+        h.write_usize(config.parents);
+        h.write_usize(config.mutations);
+        h.write_f64(config.mutation_prob);
+        h.write_usize(config.crossovers);
+        h.write_u64(config.seed);
+        h.write_u64(config.search_arch as u64);
+        h.write_u64(config.search_layout as u64);
+        h.write_u64(config.proxy.enabled as u64);
+        h.write_u64(config.proxy.keep.to_bits());
+        h.write_usize(config.proxy.warmup);
+        h.write_usize(seeds.len());
+        for seed in seeds {
+            let key = gene_key(seed);
+            h.write_u64(key.lo);
+            h.write_u64(key.hi);
+        }
         h.write_usize(objectives.len());
         for o in objectives {
             h.write_u64(o.tag());
@@ -534,8 +555,10 @@ pub fn evolutionary_search_pareto_rt(
         .any(|o| matches!(o, Objective::Depth | Objective::TwoQ));
 
     for generation in start_generation..config.iterations {
-        // Prescreening mirrors the scalar engine: digest-dedup, feature
+        // With prescreening on, only a proxy-ranked subset of the
+        // generation reaches the estimator: digest-dedup, feature
         // computation under panic isolation, fusion ranking, escalation.
+        // With it off, `candidates` is the whole population.
         let (candidates, proxy_batch) = match prescreener.as_ref() {
             None => (std::mem::take(&mut population), None),
             Some(pre) => {
@@ -618,11 +641,10 @@ pub fn evolutionary_search_pareto_rt(
         };
 
         // Objective evaluation. The loss axis goes through the memoized
-        // score engine (identical to the scalar path, digest-compatible
-        // memo entries); the structural axes compile through the shared
-        // transpile cache under the same panic isolation. A candidate
-        // whose compile panics is poisoned to +inf on its shape axes
-        // rather than killing the search.
+        // score engine (digest-keyed memo entries); the structural axes
+        // compile through the shared transpile cache under the same panic
+        // isolation. A candidate whose compile panics is poisoned to +inf
+        // on its shape axes rather than killing the search.
         let loss_outcome = needs_loss.then(|| {
             rt.score_batch(context, &candidates, |g| {
                 score_gene(sc, shared_params, task, &estimator, g, config.max_params)
@@ -652,12 +674,19 @@ pub fn evolutionary_search_pareto_rt(
                     .collect()
             })
             .collect();
+        let primary: Vec<f64> = objs.iter().map(|o| o[0]).collect();
 
         if let (Some(pre), Some((esc_feats, esc_pred))) = (prescreener.as_mut(), proxy_batch) {
             // The fusion model learns a scalarized view of the same
             // objective vectors NSGA-II selects on, so its ranks stay
-            // aligned with multi-objective fitness.
-            let actual = scalarize_objectives(&objs);
+            // aligned with multi-objective fitness. A single objective is
+            // learned raw: per-batch min-max normalization would change
+            // what the model fits, and with it which candidates escalate.
+            let actual: Vec<f64> = if objectives.len() == 1 {
+                primary.clone()
+            } else {
+                scalarize_objectives(&objs)
+            };
             if !esc_pred.is_empty() {
                 record_rank_quality(rt.metrics(), &esc_pred, &actual);
             }
@@ -667,14 +696,27 @@ pub fn evolutionary_search_pareto_rt(
         }
 
         // Deterministic NSGA-II survival order; ties inside a front break
-        // on the candidate digest, never on map iteration order.
+        // on the candidate digest, never on map iteration order. With one
+        // objective, survivors are a stable sort on its value instead:
+        // in 1-D, NSGA-II's boundary-crowding and digest tie-breaks would
+        // reorder exactly tied candidates (duplicate genes, the
+        // `max_params` penalty, `+inf` poison), changing which parents
+        // breed.
         let keys: Vec<CacheKey> = candidates.iter().map(gene_key).collect();
-        let order = selection_order(&objs, &keys);
+        let order = if objectives.len() == 1 {
+            let mut order: Vec<usize> = (0..primary.len()).collect();
+            order.sort_by(|&a, &b| {
+                let (x, y) = (primary[a], primary[b]);
+                x.partial_cmp(&y)
+                    .unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()))
+            });
+            order
+        } else {
+            selection_order(&objs, &keys)
+        };
 
-        // Best-by-primary-objective tracking mirrors the scalar engine:
-        // first strict minimum in batch order, updated on strict
-        // improvement only.
-        let primary: Vec<f64> = objs.iter().map(|o| o[0]).collect();
+        // Best-by-primary-objective tracking: first strict minimum in
+        // batch order, updated on strict improvement only.
         let mut best_idx = 0usize;
         for (i, &v) in primary.iter().enumerate().skip(1) {
             if v < primary[best_idx] {
@@ -730,8 +772,8 @@ pub fn evolutionary_search_pareto_rt(
         rt.metrics()
             .incr(counters::PARETO_HV_SUM_MILLI, (hv * 1000.0).round() as u64);
 
-        // Offspring generation draws from the same pool RNG in the same
-        // order as the scalar engine.
+        // Offspring generation: parent choice, mutation, crossover, and
+        // random top-up draw from the pool RNG in a fixed order.
         let parents: Vec<Gene> = order
             .iter()
             .take(config.parents)
@@ -788,6 +830,58 @@ pub fn evolutionary_search_pareto_rt(
         proxy_escalations,
         proxy_dedup_hits,
     }
+}
+
+/// Folds one generation's proxy-vs-full rank agreement into the metrics:
+/// a Spearman correlation as `(rho + 1) * 1000` milli-units (mean derivable
+/// from `PROXY_RANK_SUM_MILLI / PROXY_RANK_OBS`), plus a log2-bucketed
+/// disagreement counter `proxy_rank_bNN` so the spread survives averaging.
+fn record_rank_quality(metrics: &Metrics, predicted: &[f64], actual: &[f64]) {
+    let (xs, ys): (Vec<f64>, Vec<f64>) = predicted
+        .iter()
+        .zip(actual)
+        .filter(|(p, a)| p.is_finite() && a.is_finite())
+        .map(|(&p, &a)| (p, a))
+        .unzip();
+    if xs.len() < 2 {
+        return;
+    }
+    let rho = qns_ml::spearman(&xs, &ys);
+    if !rho.is_finite() {
+        return;
+    }
+    metrics.incr(counters::PROXY_RANK_OBS, 1);
+    metrics.incr(
+        counters::PROXY_RANK_SUM_MILLI,
+        ((rho + 1.0) * 1000.0).round() as u64,
+    );
+    let disagreement = ((1.0 - rho) * 1000.0).round() as u64;
+    let bucket = (64 - disagreement.leading_zeros() as u64).min(11);
+    metrics.incr(&format!("proxy_rank_b{bucket:02}"), 1);
+}
+
+/// The initial population: canonicalize by structural digest so
+/// duplicated seeds (common when several ablations pass the same human
+/// design) occupy one slot, then top up with unique random genes. Retries are bounded: tiny design spaces may not hold
+/// `population` distinct genes, in which case duplicates are admitted
+/// rather than looping forever.
+fn seed_population(pool: &mut GenePool, config: &EvoConfig, seeds: &[Gene]) -> Vec<Gene> {
+    let mut population: Vec<Gene> = Vec::with_capacity(config.population);
+    let mut keys = std::collections::HashSet::new();
+    for seed in seeds.iter().take(config.population) {
+        if keys.insert(gene_key(seed)) {
+            population.push(seed.clone());
+        }
+    }
+    let mut attempts = 0usize;
+    while population.len() < config.population {
+        let g = pool.random_gene();
+        attempts += 1;
+        if keys.insert(gene_key(&g)) || attempts > 64 * config.population {
+            population.push(g);
+        }
+    }
+    population
 }
 
 /// Converts isolated compiled-shape results into objective coordinates,

@@ -6,7 +6,7 @@
 //! | offset | bytes | field |
 //! |--------|-------|-------|
 //! | 0      | 8     | magic `"QNSCKPT\0"` |
-//! | 8      | 4     | format version (LE u32, currently 1) |
+//! | 8      | 4     | format version (LE u32, currently 3) |
 //! | 12     | 4     | payload kind tag (LE u32, per [`Checkpointable::KIND`]) |
 //! | 16     | 8     | payload length (LE u64) |
 //! | 24     | 16    | 128-bit structural digest of the payload |
@@ -37,8 +37,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const MAGIC: [u8; 8] = *b"QNSCKPT\0";
 /// Current frame format version. v2: search-context digests include the
 /// simulation backend ([`BackendConfig`](../../quantumnas) wire form), so
-/// snapshots written under a different backend no longer resume.
-pub const FORMAT_VERSION: u32 = 2;
+/// snapshots written under a different backend no longer resume. v3: the
+/// loss-only co-search writes the same `PARE` search kind as the
+/// multi-objective one; the separate scalar search kind is gone.
+pub const FORMAT_VERSION: u32 = 3;
 /// Snapshot filename extension.
 pub const EXTENSION: &str = "ckpt";
 

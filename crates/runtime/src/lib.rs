@@ -34,7 +34,9 @@
 //! ```
 //! use qns_runtime::{EvalEngine, Metrics, ShardedCache, StructuralHasher, Workers};
 //!
-//! let engine = EvalEngine::new(Workers::Auto);
+//! // One worker, so every duplicate finds its original already cached
+//! // (with more, two workers racing on one fresh key may both compute).
+//! let engine = EvalEngine::new(Workers::Fixed(1));
 //! let cache: ShardedCache<f64> = ShardedCache::new(16);
 //! let metrics = Metrics::new();
 //!

@@ -33,11 +33,13 @@ static TRUNCATION_WEIGHT_PICO: AtomicU64 = AtomicU64::new(0);
 /// Largest bond dimension produced by any split.
 static MAX_BOND_SEEN: AtomicU64 = AtomicU64::new(0);
 
-/// Snapshot of the process-wide MPS truncation telemetry.
+/// MPS truncation telemetry.
 ///
-/// Counters accumulate across all [`MpsState`] instances since process start
-/// or the last [`reset_mps_stats`]; the runtime mirrors them into the
-/// metrics registry so they surface in `--stats`.
+/// [`mps_stats`] reads the process-wide counters, which accumulate across
+/// all [`MpsState`] instances since process start or the last
+/// [`reset_mps_stats`]; the runtime mirrors them into the metrics registry
+/// so they surface in `--stats`. [`MpsState::stats`] reads one state's own
+/// counts, which concurrent states cannot disturb.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MpsStats {
     /// SVD splits that discarded nonzero weight.
@@ -163,6 +165,9 @@ pub struct MpsState {
     /// Orthogonality center: sites `< center` are left isometries, sites
     /// `> center` are right isometries.
     center: usize,
+    /// This state's own truncation telemetry (also fed into the
+    /// process-wide counters).
+    stats: MpsStats,
 }
 
 impl MpsState {
@@ -184,6 +189,7 @@ impl MpsState {
             sites,
             config,
             center: 0,
+            stats: MpsStats::default(),
         }
     }
 
@@ -195,6 +201,12 @@ impl MpsState {
     /// The truncation policy this state was built with.
     pub fn config(&self) -> MpsConfig {
         self.config
+    }
+
+    /// Truncation telemetry of this state alone, accumulated since
+    /// construction ([`MpsState::reset`] does not clear it).
+    pub fn stats(&self) -> MpsStats {
+        self.stats
     }
 
     /// Resets to `|0...0>`, collapsing all bonds back to 1.
@@ -504,10 +516,11 @@ impl MpsState {
     }
 
     /// Decides how many singular values to keep under the truncation policy
-    /// and returns `(keep, renormalization)`. Records telemetry. When
-    /// nothing is discarded the renormalization is exactly `1.0`, so the
-    /// exact regime stays bitwise clean.
-    fn truncate_spectrum(&self, s: &[f64]) -> (usize, f64) {
+    /// and returns `(keep, renormalization)`. Records telemetry, both in
+    /// this state's counts and the process-wide ones. When nothing is
+    /// discarded the renormalization is exactly `1.0`, so the exact regime
+    /// stays bitwise clean.
+    fn truncate_spectrum(&mut self, s: &[f64]) -> (usize, f64) {
         let total_sq: f64 = s.iter().map(|x| x * x).sum();
         // Weight budget: keep the fewest leading values whose discarded
         // tail is within the cutoff.
@@ -527,12 +540,16 @@ impl MpsState {
         keep = keep.min(self.config.max_bond).max(1);
 
         MAX_BOND_SEEN.fetch_max(keep as u64, Ordering::Relaxed);
+        self.stats.max_bond_seen = self.stats.max_bond_seen.max(keep as u64);
         if keep == s.len() {
             return (keep, 1.0);
         }
         let discarded_sq: f64 = s[keep..].iter().map(|x| x * x).sum();
+        let weight_pico = (discarded_sq * 1e12).round() as u64;
         TRUNCATION_EVENTS.fetch_add(1, Ordering::Relaxed);
-        TRUNCATION_WEIGHT_PICO.fetch_add((discarded_sq * 1e12).round() as u64, Ordering::Relaxed);
+        TRUNCATION_WEIGHT_PICO.fetch_add(weight_pico, Ordering::Relaxed);
+        self.stats.truncation_events += 1;
+        self.stats.truncated_weight_pico += weight_pico;
         let kept_sq = total_sq - discarded_sq;
         let renorm = if kept_sq > 0.0 {
             (total_sq / kept_sq).sqrt()
@@ -974,15 +991,24 @@ mod tests {
 
     #[test]
     fn truncation_fires_and_is_counted() {
-        reset_mps_stats();
-        let before = mps_stats();
-        assert_eq!(before.truncation_events, 0);
+        // The state's own counts: other tests running concurrently feed
+        // the process-wide counters, never these.
         let mut rng = StdRng::seed_from_u64(9);
         let mut mps = MpsState::zero_state(6, MpsConfig::with_max_bond(2));
+        assert_eq!(mps.stats(), MpsStats::default());
+        let global_before = mps_stats();
         for _ in 0..40 {
             random_step(&mut mps, None, 6, &mut rng);
         }
-        let stats = mps_stats();
+        let stats = mps.stats();
+        // The process-wide counters are fed too (concurrent tests only add
+        // to them; none in this crate resets them).
+        let global_after = mps_stats();
+        assert!(
+            global_after.truncation_events
+                >= global_before.truncation_events + stats.truncation_events
+        );
+        assert!(global_after.max_bond_seen >= 2);
         assert!(stats.truncation_events > 0, "expected truncation events");
         assert!(stats.truncated_weight_pico > 0, "expected discarded weight");
         assert_eq!(stats.max_bond_seen, 2);

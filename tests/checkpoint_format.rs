@@ -4,9 +4,11 @@
 //! never a panic, never a silently wrong state.
 
 use proptest::prelude::*;
-use qns_runtime::{decode_snapshot, encode_snapshot, CacheKey, CheckpointError, StructuralHasher};
+use qns_runtime::{
+    decode_snapshot, encode_snapshot, CacheKey, CheckpointError, Checkpointable, StructuralHasher,
+};
 use quantumnas::{
-    DesignSpace, Gene, ParetoState, Prescreener, ProxyFeatures, ProxyOptions, SearchCheckpoint,
+    DesignSpace, Gene, ParetoState, Prescreener, ProxyFeatures, ProxyOptions, PruneCheckpoint,
     SpaceKind, SubConfig, SuperCircuit, TrainCheckpoint,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -16,15 +18,22 @@ fn key_from(lo: u64, hi: u64) -> CacheKey {
 }
 
 /// Strategy: an arbitrary search snapshot over real genes of the U3+CU3
-/// space (layouts are rotations; widths are clamped to the legal range).
-fn arb_search_checkpoint() -> impl Strategy<Value = SearchCheckpoint> {
+/// space (layouts are rotations; widths are clamped to the legal range),
+/// with a non-dominated archive of (gene, objective-vector) pairs over 1–3
+/// objectives, `+inf` poison values included, and optional prescreener
+/// state.
+fn arb_pareto_state() -> impl Strategy<Value = ParetoState> {
     let gene = (0usize..4, prop::collection::vec(1usize..=4, 2..=6));
     (
         (0u64..u64::MAX, 0u64..u64::MAX),
         (0usize..64, 0usize..10_000, 0usize..10_000),
         prop::collection::vec(gene, 1..=6),
         prop::collection::vec(0u64..u64::MAX, 4),
-        prop::collection::vec(-10.0..10.0f64, 0..8),
+        (
+            prop::collection::vec(-10.0..10.0f64, 0..8),
+            prop::collection::vec((0usize..6, -5.0..5.0f64, prop::bool::ANY), 0..6),
+            1usize..=3,
+        ),
         (
             prop::collection::vec((0u64..1000, 0u64..1000, -5.0..5.0f64), 0..8),
             // Optional prescreener state, built through the public API:
@@ -65,7 +74,7 @@ fn arb_search_checkpoint() -> impl Strategy<Value = SearchCheckpoint> {
                 (generation, evaluations, memo_hits),
                 genes,
                 rng_words,
-                history,
+                (history, raw_archive, dims),
                 (memo, (with_proxy, proxy_obs, proxy_cache, proxy_counters)),
             )| {
                 let sc = SuperCircuit::new(DesignSpace::new(SpaceKind::U3Cu3), 4, 2);
@@ -104,11 +113,28 @@ fn arb_search_checkpoint() -> impl Strategy<Value = SearchCheckpoint> {
                     }
                     pre.snapshot(proxy_counters.0, proxy_counters.1, proxy_counters.2)
                 });
-                SearchCheckpoint {
+                let archive = raw_archive
+                    .into_iter()
+                    .map(|(gi, v, poison)| {
+                        let gene = population[gi % population.len()].clone();
+                        let objs = (0..dims)
+                            .map(|d| {
+                                if poison && d == 0 {
+                                    f64::INFINITY
+                                } else {
+                                    v + d as f64
+                                }
+                            })
+                            .collect();
+                        (gene, objs)
+                    })
+                    .collect();
+                ParetoState {
                     context: key_from(ctx.0, ctx.1),
                     generation,
                     population,
                     rng: [rng_words[0], rng_words[1], rng_words[2], rng_words[3]],
+                    archive,
                     best,
                     history,
                     evaluations,
@@ -156,48 +182,6 @@ fn arb_train_checkpoint() -> impl Strategy<Value = TrainCheckpoint> {
         )
 }
 
-/// Strategy: an arbitrary Pareto snapshot — the scalar search's state
-/// plus a non-dominated archive of (gene, objective-vector) pairs, with
-/// `+inf` poison values included.
-fn arb_pareto_state() -> impl Strategy<Value = ParetoState> {
-    (
-        arb_search_checkpoint(),
-        prop::collection::vec((0usize..6, -5.0..5.0f64, prop::bool::ANY), 0..6),
-        1usize..=3,
-    )
-        .prop_map(|(s, raw_archive, dims)| {
-            let archive = raw_archive
-                .into_iter()
-                .map(|(gi, v, poison)| {
-                    let gene = s.population[gi % s.population.len()].clone();
-                    let objs = (0..dims)
-                        .map(|d| {
-                            if poison && d == 0 {
-                                f64::INFINITY
-                            } else {
-                                v + d as f64
-                            }
-                        })
-                        .collect();
-                    (gene, objs)
-                })
-                .collect();
-            ParetoState {
-                context: s.context,
-                generation: s.generation,
-                population: s.population,
-                rng: s.rng,
-                archive,
-                best: s.best,
-                history: s.history,
-                evaluations: s.evaluations,
-                memo_hits: s.memo_hits,
-                memo: s.memo,
-                proxy: s.proxy,
-            }
-        })
-}
-
 /// Deterministic per-case byte picker (the shim has no independent index
 /// strategy that can depend on the frame's length).
 fn pick(seed: u64, bound: usize) -> usize {
@@ -208,14 +192,6 @@ fn pick(seed: u64, bound: usize) -> usize {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// encode→decode is the identity on arbitrary search snapshots.
-    #[test]
-    fn search_snapshot_round_trips(state in arb_search_checkpoint()) {
-        let frame = encode_snapshot(&state);
-        let back: SearchCheckpoint = decode_snapshot(&frame).expect("valid frame");
-        prop_assert_eq!(back, state);
-    }
 
     /// encode→decode is the identity on arbitrary training snapshots,
     /// with every float compared bitwise.
@@ -229,7 +205,7 @@ proptest! {
         prop_assert_eq!(back, state);
     }
 
-    /// encode→decode is the identity on arbitrary Pareto snapshots, with
+    /// encode→decode is the identity on arbitrary search snapshots, with
     /// every archive objective compared bitwise.
     #[test]
     fn pareto_snapshot_round_trips(state in arb_pareto_state()) {
@@ -267,80 +243,91 @@ proptest! {
         );
     }
 
-    /// The scalar and Pareto search kinds can never cross-decode: a frame
-    /// written by one engine is rejected by the other with a typed kind
-    /// mismatch, before any payload is touched.
+    /// Search and training frames can never cross-decode: a frame written
+    /// by one loop is rejected by the others with a typed kind mismatch,
+    /// before any payload is touched.
     #[test]
-    fn scalar_and_pareto_frames_never_cross_decode(state in arb_pareto_state()) {
-        let pareto_frame = encode_snapshot(&state);
+    fn search_and_train_frames_never_cross_decode(
+        search in arb_pareto_state(),
+        train in arb_train_checkpoint(),
+    ) {
+        let search_frame = encode_snapshot(&search);
         prop_assert!(matches!(
-            decode_snapshot::<SearchCheckpoint>(&pareto_frame),
+            decode_snapshot::<TrainCheckpoint>(&search_frame),
             Err(CheckpointError::KindMismatch { .. })
         ));
-        let scalar = SearchCheckpoint {
-            context: state.context,
-            generation: state.generation,
-            population: state.population.clone(),
-            rng: state.rng,
-            best: state.best.clone(),
-            history: state.history.clone(),
-            evaluations: state.evaluations,
-            memo_hits: state.memo_hits,
-            memo: state.memo.clone(),
-            proxy: state.proxy.clone(),
-        };
-        let scalar_frame = encode_snapshot(&scalar);
         prop_assert!(matches!(
-            decode_snapshot::<ParetoState>(&scalar_frame),
+            decode_snapshot::<PruneCheckpoint>(&search_frame),
+            Err(CheckpointError::KindMismatch { .. })
+        ));
+        let train_frame = encode_snapshot(&train);
+        prop_assert!(matches!(
+            decode_snapshot::<ParetoState>(&train_frame),
             Err(CheckpointError::KindMismatch { .. })
         ));
     }
 
-    /// Corrupting any single byte of a frame is always detected: decode
-    /// returns a typed error and never panics.
+    /// Corrupting any single byte of a search or training frame is always
+    /// detected: decode returns a typed error and never panics.
     #[test]
     fn single_byte_corruption_is_always_detected(
-        state in arb_search_checkpoint(),
+        (search, train) in (arb_pareto_state(), arb_train_checkpoint()),
         flip_at in 0u64..u64::MAX,
         mask in 1u8..=255,
     ) {
-        let mut frame = encode_snapshot(&state);
+        let mut frame = encode_snapshot(&search);
         let i = pick(flip_at, frame.len());
         frame[i] ^= mask;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            decode_snapshot::<SearchCheckpoint>(&frame)
+            decode_snapshot::<ParetoState>(&frame)
         }));
         let decoded = outcome.expect("decode must never panic");
         prop_assert!(
             decoded.is_err(),
-            "flipping byte {} (mask {:#04x}) went undetected",
+            "flipping search byte {} (mask {:#04x}) went undetected",
+            i,
+            mask
+        );
+        let mut frame = encode_snapshot(&train);
+        let i = pick(flip_at, frame.len());
+        frame[i] ^= mask;
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            decode_snapshot::<TrainCheckpoint>(&frame)
+        }));
+        let decoded = outcome.expect("decode must never panic");
+        prop_assert!(
+            decoded.is_err(),
+            "flipping train byte {} (mask {:#04x}) went undetected",
             i,
             mask
         );
     }
 
-    /// Truncating a frame at any point yields a typed error, never a
-    /// panic and never a partial state.
+    /// Truncating a search or training frame at any point yields a typed
+    /// error, never a panic and never a partial state.
     #[test]
     fn truncation_is_always_detected(
-        state in arb_train_checkpoint(),
+        (search, train) in (arb_pareto_state(), arb_train_checkpoint()),
         cut_at in 0u64..u64::MAX,
     ) {
-        let frame = encode_snapshot(&state);
+        let frame = encode_snapshot(&search);
         let cut = pick(cut_at, frame.len());
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            decode_snapshot::<TrainCheckpoint>(&frame[..cut])
-        }));
-        let decoded = outcome.expect("decode must never panic");
-        match decoded {
-            Err(
-                CheckpointError::Truncated { .. }
-                | CheckpointError::BadMagic
-                | CheckpointError::CrcMismatch { .. }
-                | CheckpointError::Malformed(_),
-            ) => {}
-            Err(e) => prop_assert!(false, "unexpected error kind: {e}"),
-            Ok(_) => prop_assert!(false, "truncation at {} went undetected", cut),
-        }
+        prop_assert!(truncation_detected::<ParetoState>(&frame[..cut]), "search cut at {}", cut);
+        let frame = encode_snapshot(&train);
+        let cut = pick(cut_at, frame.len());
+        prop_assert!(truncation_detected::<TrainCheckpoint>(&frame[..cut]), "train cut at {}", cut);
     }
+}
+
+/// Whether decoding a truncated frame fails with one of the typed errors a
+/// short read can produce (and does not panic).
+fn truncation_detected<T: Checkpointable>(truncated: &[u8]) -> bool {
+    let outcome = catch_unwind(AssertUnwindSafe(|| decode_snapshot::<T>(truncated)));
+    matches!(
+        outcome.expect("decode must never panic"),
+        Err(CheckpointError::Truncated { .. }
+            | CheckpointError::BadMagic
+            | CheckpointError::CrcMismatch { .. }
+            | CheckpointError::Malformed(_))
+    )
 }

@@ -350,9 +350,10 @@ fn larger_population_under_proxy_matches_baseline_within_budget() {
     );
 }
 
-/// Prescreening never changes the snapshot wire kind: a proxy-on scalar
-/// search still writes scalar-kind frames (the proxy state travels inside
-/// the payload, not as a separate kind).
+/// Prescreening never changes the snapshot wire kind: a proxy-on
+/// loss-only search still writes only `PARE` search frames under the
+/// `pareto` label (the proxy state travels inside the payload, not as a
+/// separate kind).
 #[test]
 fn proxy_on_search_snapshots_keep_the_scalar_wire_kind() {
     let (sc, params, task, est) = setup();
@@ -366,11 +367,11 @@ fn proxy_on_search_snapshots_keep_the_scalar_wire_kind() {
     let result = evolutionary_search_seeded_rt(&sc, &params, &task, &est, &cfg, &[], &rt);
     assert!(result.proxy_evals > 0, "prescreening never ran");
     assert_eq!(
-        common::snapshot_kind(dir.path(), "search"),
-        u32::from_le_bytes(*b"SEAR")
+        common::snapshot_kind(dir.path(), "pareto"),
+        u32::from_le_bytes(*b"PARE")
     );
     assert_eq!(
         common::snapshot_kinds(dir.path()),
-        vec![u32::from_le_bytes(*b"SEAR")]
+        vec![u32::from_le_bytes(*b"PARE")]
     );
 }

@@ -135,10 +135,10 @@ fn pruning_preserves_accuracy_and_shrinks_compiled_circuit() {
     assert!(t_after.circuit.num_ops() < t_before.circuit.num_ops());
 }
 
-/// The scalar search's snapshots carry the scalar wire kind — asserted
-/// through the shared helper, so a run that starts writing a different
-/// kind (e.g. the Pareto engine's) cannot silently pass this suite's
-/// stale-context expectations.
+/// The scalar (loss-only) search's snapshots carry the one search wire
+/// kind, `PARE` under the `pareto` label — asserted through the shared
+/// helper, so a run that starts writing a different kind cannot silently
+/// pass this suite's stale-context expectations.
 #[test]
 fn scalar_search_snapshots_carry_the_scalar_wire_kind() {
     let sc = SuperCircuit::new(DesignSpace::new(SpaceKind::U3Cu3), 4, 2);
@@ -164,11 +164,11 @@ fn scalar_search_snapshots_carry_the_scalar_wire_kind() {
     let rt = SearchRuntime::new(cfg.runtime.clone());
     evolutionary_search_seeded_rt(&sc, &shared, &task, &est, &cfg, &[], &rt);
     assert_eq!(
-        common::snapshot_kind(dir.path(), "search"),
-        u32::from_le_bytes(*b"SEAR")
+        common::snapshot_kind(dir.path(), "pareto"),
+        u32::from_le_bytes(*b"PARE")
     );
     assert_eq!(
         common::snapshot_kinds(dir.path()),
-        vec![u32::from_le_bytes(*b"SEAR")]
+        vec![u32::from_le_bytes(*b"PARE")]
     );
 }
